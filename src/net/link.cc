@@ -1,7 +1,6 @@
 #include "net/link.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -36,8 +35,7 @@ Link::TransferId Link::submit(Bytes size, ProgressFn on_progress, int priority) 
   static obs::Counter& submitted = obs::metrics().counter("net.link.transfers_total");
   submitted.inc();
   active_transfers_gauge().add(1);
-  transfers_[id] =
-      Transfer{size, std::move(on_progress), next_order_++, priority, false};
+  transfers_.emplace(id, Transfer{size, std::move(on_progress), next_order_++, priority});
   sim_.schedule_after(params_.latency_ms, [this, id] {
     auto it = transfers_.find(id);
     if (it == transfers_.end()) return;  // cancelled during latency
@@ -48,14 +46,21 @@ Link::TransferId Link::submit(Bytes size, ProgressFn on_progress, int priority) 
       cb(0, true);
       return;
     }
-    it->second.started = true;
+    it->second.state = State::kStarted;
     arm_tick();
   });
   return id;
 }
 
 bool Link::cancel(TransferId id) {
-  if (transfers_.erase(id) == 0) return false;
+  auto it = transfers_.find(id);
+  if (it == transfers_.end() || it->second.state >= State::kCompleted) return false;
+  if (dispatching_) {
+    it->second.state = State::kCancelled;
+    retired_.push_back(it);
+  } else {
+    transfers_.erase(it);
+  }
   static obs::Counter& cancelled =
       obs::metrics().counter("net.link.transfers_cancelled_total");
   cancelled.inc();
@@ -83,76 +88,63 @@ void Link::tick() {
       params_.bandwidth.bytes_between(quantum_start, now) + carry_bytes_;
 
   // Started transfers: priority first (kFifo serving order), then FIFO.
-  std::vector<std::pair<TransferId, Transfer*>> active;
-  for (auto& [id, t] : transfers_)
-    if (t.started) active.push_back({id, &t});
-  std::sort(active.begin(), active.end(), [](auto& a, auto& b) {
-    if (a.second->priority != b.second->priority)
-      return a.second->priority > b.second->priority;
-    return a.second->order < b.second->order;
+  active_.clear();
+  for (auto it = transfers_.begin(); it != transfers_.end(); ++it)
+    if (it->second.state == State::kStarted) active_.push_back(it);
+  std::sort(active_.begin(), active_.end(), [](auto a, auto b) {
+    if (a->second.priority != b->second.priority)
+      return a->second.priority > b->second.priority;
+    return a->second.order < b->second.order;
   });
 
-  struct Delivery {
-    TransferId id;
-    ProgressFn fn;  // owned copy: callbacks may mutate the transfer table
-    Bytes bytes;
-    bool complete;
-  };
-  std::vector<Delivery> deliveries;
-  std::vector<TransferId> completed;
-
-  auto give = [&](TransferId id, Transfer& t, double amount) {
+  deliveries_.clear();
+  auto give = [&](TransferTable::iterator it, double amount) {
+    Transfer& t = it->second;
     auto grant = static_cast<Bytes>(amount);
     grant = std::min(grant, t.remaining);
     if (grant <= 0) return 0.0;
     t.remaining -= grant;
     delivered_total_ += grant;
+    deliveries_.push_back({it, grant, t.remaining == 0});
     if (t.remaining == 0) {
-      deliveries.push_back({id, std::move(t.on_progress), grant, true});
-      completed.push_back(id);
-    } else {
-      deliveries.push_back({id, t.on_progress, grant, false});
+      t.state = State::kCompleted;
+      retired_.push_back(it);
+      note_transfer_completed();
     }
     return static_cast<double>(grant);
   };
 
   Bytes quantum_delivered = 0;
   if (params_.sharing == Sharing::kFifo) {
-    for (auto& [id, t] : active) {
+    for (auto it : active_) {
       if (budget < 1) break;
-      double used = give(id, *t, budget);
+      double used = give(it, budget);
       budget -= used;
       quantum_delivered += static_cast<Bytes>(used);
     }
   } else {
     // Water-filling fair share: repeatedly split remaining budget among
-    // transfers that still want bytes.
-    std::vector<std::pair<TransferId, Transfer*>> wanting = active;
-    while (budget >= 1 && !wanting.empty()) {
-      double share = budget / static_cast<double>(wanting.size());
+    // transfers that still want bytes (compacting active_ in place).
+    while (budget >= 1 && !active_.empty()) {
+      double share = budget / static_cast<double>(active_.size());
       if (share < 1) share = 1;  // avoid infinite splitting
       double spent = 0;
-      std::vector<std::pair<TransferId, Transfer*>> still;
-      for (auto& [id, t] : wanting) {
+      std::size_t still = 0;
+      for (auto it : active_) {
         if (budget - spent < 1) break;
-        double used = give(id, *t, std::min(share, budget - spent));
+        double used = give(it, std::min(share, budget - spent));
         spent += used;
-        if (t->remaining > 0) still.push_back({id, t});
+        if (it->second.remaining > 0) active_[still++] = it;
       }
+      active_.resize(still);
       budget -= spent;
       quantum_delivered += static_cast<Bytes>(spent);
       if (spent < 1) break;  // nobody could take more
-      wanting = std::move(still);
     }
   }
   // Carry only the sub-byte fraction: whole bytes left over mean the link
   // genuinely idled for part of the quantum, and idle capacity is not banked.
   carry_bytes_ = budget - static_cast<double>(static_cast<Bytes>(budget));
-
-  for (TransferId id : completed) {
-    transfers_.erase(id);
-    note_transfer_completed();
-  }
 
   if (quantum_delivered > 0) {
     static obs::Counter& delivered =
@@ -162,22 +154,24 @@ void Link::tick() {
   if (params_.record_consumption && quantum_delivered > 0)
     consumption_log_.emplace_back(quantum_start, quantum_delivered);
 
-  // Fire callbacks after internal state is consistent (callbacks may submit
-  // or cancel transfers on this link). A callback cancelling a *sibling*
-  // transfer must silence the sibling's deliveries queued in this same
-  // quantum: a transfer that is in neither transfers_ nor this quantum's
-  // completed set was erased by cancel() mid-dispatch. Transfers that
-  // completed above keep all their deliveries (cancel() on them is a no-op
-  // reporting false), including non-final chunks from fair-share rounds.
-  const std::unordered_set<TransferId> completed_set(completed.begin(),
-                                                     completed.end());
-  for (Delivery& d : deliveries) {
-    if (!transfers_.contains(d.id) && !completed_set.contains(d.id)) continue;
-    d.fn(d.bytes, d.complete);
+  // Fire callbacks in grant order. Callbacks may submit or cancel transfers
+  // on this link; a transfer cancelled mid-dispatch (itself or a sibling)
+  // keeps its table node, so the running callback stays alive, but gets no
+  // further deliveries. Completed transfers keep all their deliveries
+  // (cancel() on them reports false), including non-final chunks from
+  // fair-share rounds.
+  dispatching_ = true;
+  for (const Delivery& d : deliveries_) {
+    Transfer& t = d.it->second;
+    if (t.state != State::kCancelled) t.on_progress(d.bytes, d.complete);
   }
+  dispatching_ = false;
+  for (auto it : retired_) transfers_.erase(it);
+  retired_.clear();
 
-  bool any_started = std::any_of(transfers_.begin(), transfers_.end(),
-                                 [](auto& kv) { return kv.second.started; });
+  bool any_started = std::any_of(transfers_.begin(), transfers_.end(), [](auto& kv) {
+    return kv.second.state == State::kStarted;
+  });
   if (any_started)
     arm_tick();
   else
