@@ -7,18 +7,14 @@
 #include <optional>
 #include <vector>
 
-#include "core/middleware.h"
-#include "gesture/recognizer.h"
-#include "gesture/synthetic.h"
-#include "http/fetch_pipeline.h"
-#include "http/proxy.h"
-#include "http/sim_http.h"
 #include "cli/standard_options.h"
+#include "gesture/synthetic.h"
 #include "obs/metrics.h"
 #include "util/stats.h"
 #include "web/blocklist_controller.h"
 #include "web/browser.h"
 #include "web/corpus.h"
+#include "web/sim_session.h"
 
 namespace {
 
@@ -33,92 +29,45 @@ struct SessionStats {
 
 SessionStats run(const WebPage& page, bool enable_mfhttp, std::uint64_t seed,
                  TimeMs session_ms) {
-  const DeviceProfile device = DeviceProfile::nexus6();
-  Simulator sim;
-  Link::Params cp;
-  cp.bandwidth = BandwidthTrace::constant(1e6);
-  cp.latency_ms = 8;
-  cp.sharing = Link::Sharing::kFairShare;
-  Link server_link(sim, Link::Params{});
+  SessionConfig config;
+  config.enable_mfhttp = enable_mfhttp;
+  config.client_bandwidth = 1e6;
+  config.session_ms = session_ms;
   ObjectStore store;
   for (const PageResource& r : page.structure) store.put(parse_url(r.url)->path, r.size);
   for (const MediaObject& img : page.images)
     store.put(parse_url(img.top_version().url)->path, img.top_version().size);
-  SimHttpOrigin origin(sim, &store, &server_link);
-  auto pipeline = FetchPipelineBuilder(sim, &origin).client_link(cp).build();
-  MitmProxy& proxy = pipeline->proxy();
-  Link& client_link = pipeline->client_link();
+  SimSession::Wiring wiring;
+  wiring.server_link = Link::Params{};
+  wiring.coverage_step_ms = 8.0;
+  wiring.record_settles = true;
+  SimSession world(config, std::move(store), page.bounds(), wiring);
 
-  Rect vp0{0, 0, device.screen_w_px, device.screen_h_px};
-  ScrollTracker::Params tp;
-  tp.scroll = ScrollConfig(device);
-  tp.coverage_step_ms = 8.0;
-  tp.content_bounds = page.bounds();
-
-  std::optional<Middleware> middleware;
   std::optional<BlockListController> controller;
-  std::optional<TouchEventMonitor> monitor;
   if (enable_mfhttp) {
-    Middleware::Params mp;
-    mp.tracker = tp;
-    mp.flow.weights = {1.0, 0.0};
-    mp.flow.ignore_bandwidth_constraint = true;
-    mp.initial_viewport = vp0;
-    mp.gesture_uplink_ms = 8;
-    middleware.emplace(mp, page.images, BandwidthTrace::constant(1e6), &sim);
-    controller.emplace(page, vp0, &proxy);
-    proxy.set_interceptor(&*controller);
-    middleware->set_policy_callback(
-        [&](const ScrollAnalysis& a, const DownloadPolicy& p) {
-          controller->on_policy(a, p);
-        });
-    monitor.emplace(device, [&](const Gesture& g) { middleware->on_gesture(g); });
+    controller.emplace(page, world.initial_viewport(), &world.proxy());
+    world.attach_middleware(page.images, &*controller);
   }
 
+  Browser browser(world.sim(), &world.proxy(), page);
+  world.sim().schedule_at(0, [&] { browser.load(); });
+
   // Ground truth (same gestures in both arms thanks to the shared seed).
-  ScrollTracker gt_tracker(tp);
-  ViewportState gt_viewport(vp0, page.bounds());
-  GestureRecognizer gt_recognizer(device);
-  struct Settle {
-    TimeMs time_ms;
-    Rect viewport;
-  };
-  std::vector<Settle> settles;
-
-  Browser browser(sim, &proxy, page);
-  sim.schedule_at(0, [&] { browser.load(); });
-
-  BrowsingGestureSource source(device, {}, Rng(seed));
+  BrowsingGestureSource source(config.device, {}, Rng(seed));
   TimeMs t = 800;
   while (t < session_ms - 3000) {
     TouchTrace trace = source.next_swipe(t);
     t = trace.back().time_ms;
-    for (const TouchEvent& ev : trace) {
-      sim.schedule_at(ev.time_ms, [&, ev] {
-        if (monitor) monitor->on_touch_event(ev);
-        if (auto g = gt_recognizer.on_touch_event(ev)) {
-          gt_viewport.interrupt(g->down_time_ms);
-          gt_viewport.apply_contact_pan(*g);
-          if (g->scrolls()) {
-            ScrollPrediction pred =
-                gt_tracker.predict(*g, gt_viewport.at(g->up_time_ms));
-            gt_viewport.begin_animation(pred);
-            settles.push_back(
-                {pred.start_time_ms + static_cast<TimeMs>(pred.duration_ms),
-                 pred.final_viewport()});
-          }
-        }
-      });
-    }
+    world.schedule_touches(trace);
   }
 
-  sim.run_until(session_ms);
+  world.run();
 
   SessionStats out;
-  out.bytes = client_link.bytes_delivered_total();
+  out.bytes = world.bytes_delivered();
   out.images_total = page.images.size();
   out.images_fetched = browser.images_completed();
-  for (const Settle& s : settles) {
+  for (const SimSession::Settle& s : world.settles()) {
     TimeMs loaded = browser.viewport_load_time(s.viewport);
     if (loaded < 0) continue;  // session ended before it finished
     out.settle_lag_ms.add(

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "scenario/matrix.h"
 #include "scenario/wiring.h"
 #include "sim/parallel_runner.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "web/corpus.h"
 #include "web/experiment.h"
@@ -112,17 +112,6 @@ int parse_int(const char* flag, const std::string& s, int min) {
 MatrixCellResult hand_wired_paper_cell(const MatrixCellResult& like,
                                        bool enable_mfhttp, int sites,
                                        int repeats) {
-  struct Fnv {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    void u64(std::uint64_t v) {
-      const unsigned char* c = reinterpret_cast<const unsigned char*>(&v);
-      for (std::size_t i = 0; i < sizeof(v); ++i) {
-        h ^= c[i];
-        h *= 0x100000001b3ull;
-      }
-    }
-  };
-
   const DeviceProfile device = DeviceProfile::nexus6();
   Rng rng(42);
   std::vector<WebPage> corpus = generate_corpus(device, rng);

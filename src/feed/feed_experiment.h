@@ -4,36 +4,29 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "core/flow_controller.h"
-#include "fault/fault_plan.h"
 #include "feed/feed.h"
-#include "http/cache.h"
-#include "net/bandwidth_trace.h"
-#include "overload/admission.h"
+#include "web/sim_session.h"
 
 namespace mfhttp {
 
-struct FeedSessionConfig {
-  DeviceProfile device = DeviceProfile::nexus6();
-  bool enable_mfhttp = true;
-
-  BytesPerSec client_bandwidth = 2.5e6;
-  TimeMs client_latency_ms = 8;
-  BytesPerSec server_bandwidth = 12.5e6;
-  TimeMs server_latency_ms = 4;
-  // Variable client-hop bandwidth (scenario network profiles); replaces the
-  // constant client_bandwidth trace when set.
-  std::optional<BandwidthTrace> client_bandwidth_trace;
+// The session knobs shared with browsing live in SessionConfig
+// (web/sim_session.h); the feed overrides three of its defaults. Unlike
+// browsing, a null fault_plan means no faults: the feed never consults the
+// ambient --fault-plan, so its pristine arms stay byte-identical under one.
+struct FeedSessionConfig : SessionConfig {
+  FeedSessionConfig() {
+    client_bandwidth = 2.5e6;
+    // Cost pressure: with q > 0 the optimizer hands glimpsed clips their
+    // thumbnails instead of megabyte clips.
+    weights = {1.0, 0.3};
+    session_ms = 30'000;
+  }
 
   int fling_count = 4;
   TimeMs first_fling_ms = 1000;
   TimeMs fling_interval_ms = 4000;
   double fling_speed_px_s = 9000;
-  // Device-class fling calibration (scenario::DeviceClassSpec); 1.0 = stock
-  // physics, byte-identical to the historical runner.
-  double fling_friction_scale = 1.0;
 
   // Dynamic feed (infinite scroll): the app opens with only the first
   // `initial_posts` posts and reveals `append_posts_per_fling` more just
@@ -43,23 +36,9 @@ struct FeedSessionConfig {
   // (the historical static behavior).
   int initial_posts = 0;
   int append_posts_per_fling = 0;
-
-  // Optional pipeline layers (scenario sections). All off by default —
-  // byte-identical to the historical stack.
-  const fault::FaultPlan* fault_plan = nullptr;
-  bool enable_cache = false;
-  CacheParams cache;
-  std::optional<overload::AdmissionParams> admission;
-
-  // Cost pressure: with q > 0 the optimizer hands glimpsed clips their
-  // thumbnails instead of megabyte clips.
-  FlowWeights weights{1.0, 0.3};
-
-  TimeMs session_ms = 30'000;
-  std::uint64_t seed = 1;
 };
 
-struct FeedSessionResult {
+struct FeedSessionResult : ProxyCounters {
   std::size_t clips_total = 0;
   std::size_t clips_settled = 0;   // clips that ever rested in the viewport
   std::size_t clips_instant = 0;   // of those, fully loaded when they settled
@@ -69,14 +48,6 @@ struct FeedSessionResult {
   Bytes full_corpus_bytes = 0;     // what download-everything would move
   std::size_t thumbs_substituted = 0;  // clips served as posters
   std::size_t media_avoided = 0;   // media never transferred at all
-
-  // Proxy-side accounting for the scenario matrix (0 when the matching
-  // layer is off).
-  std::size_t requests_total = 0;
-  std::size_t requests_rejected = 0;
-  std::size_t requests_shed = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 };
 
 FeedSessionResult run_feed_session(const Feed& feed, const FeedSessionConfig& config);

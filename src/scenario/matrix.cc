@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "feed/feed_experiment.h"
 #include "gesture/recognizer.h"
 #include "gesture/synthetic.h"
 #include "scenario/wiring.h"
 #include "util/check.h"
+#include "util/fnv.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "video/scheduler.h"
@@ -21,25 +21,6 @@ namespace mfhttp::scenario {
 
 namespace {
 
-// FNV-1a over raw bytes (the sim/session_world.cc witness, doubles hashed
-// by bit pattern so the fingerprint catches sub-ulp drift).
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void bytes(const void* p, std::size_t n) {
-    const unsigned char* c = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= c[i];
-      h *= 0x100000001b3ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-};
-
 TimeMs p99(std::vector<TimeMs> samples) {
   if (samples.empty()) return -1;
   std::sort(samples.begin(), samples.end());
@@ -47,25 +28,6 @@ TimeMs p99(std::vector<TimeMs> samples) {
   if (idx > samples.size()) idx = samples.size();
   return samples[idx - 1];
 }
-
-// Shared accumulator for the proxy-side columns.
-struct ProxyTally {
-  std::size_t requests = 0, rejected = 0, shed = 0, hits = 0, misses = 0;
-  template <typename R>
-  void add(const R& r) {
-    requests += r.requests_total;
-    rejected += r.requests_rejected;
-    shed += r.requests_shed;
-    hits += r.cache_hits;
-    misses += r.cache_misses;
-  }
-  void finish(MatrixCellResult* out) const {
-    out->shed_rate =
-        requests > 0 ? static_cast<double>(rejected + shed) / requests : 0;
-    out->cache_hit_ratio =
-        hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0;
-  }
-};
 
 void run_browsing_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
   Rng corpus_rng(42);
@@ -77,7 +39,7 @@ void run_browsing_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
   const std::optional<fault::FaultPlan> plan = spec.compiled_fault_plan();
 
   Fnv fp;
-  ProxyTally tally;
+  ProxyCounters tally;
   std::vector<TimeMs> load_times;
   double qoe_sum = 0;
   Bytes total_bytes = 0;
@@ -94,7 +56,7 @@ void run_browsing_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
                      : 0.0;
       total_bytes += r.bytes_downloaded;
       total_sim_ms += cfg.session_ms;
-      tally.add(r);
+      tally += r;
       fp.u64(static_cast<std::uint64_t>(r.initial_viewport_load_ms));
       fp.u64(static_cast<std::uint64_t>(r.final_viewport_load_ms));
       fp.u64(static_cast<std::uint64_t>(r.bytes_downloaded));
@@ -106,7 +68,8 @@ void run_browsing_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
   out->viewport_p99_ms = p99(std::move(load_times));
   out->goodput_bytes_per_s =
       total_sim_ms > 0 ? total_bytes * 1000.0 / total_sim_ms : 0;
-  tally.finish(out);
+  out->shed_rate = tally.shed_rate();
+  out->cache_hit_ratio = tally.cache_hit_ratio();
   out->fingerprint = fp.h;
 }
 
@@ -116,7 +79,7 @@ void run_feed_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
   const std::optional<fault::FaultPlan> plan = spec.compiled_fault_plan();
 
   Fnv fp;
-  ProxyTally tally;
+  ProxyCounters tally;
   double qoe_sum = 0;
   Bytes total_bytes = 0;
   TimeMs total_sim_ms = 0;
@@ -127,7 +90,7 @@ void run_feed_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
     qoe_sum += r.instant_play_rate;
     total_bytes += r.bytes_downloaded;
     total_sim_ms += cfg.session_ms;
-    tally.add(r);
+    tally += r;
     fp.u64(r.clips_settled);
     fp.u64(r.clips_instant);
     fp.u64(static_cast<std::uint64_t>(r.bytes_downloaded));
@@ -138,7 +101,8 @@ void run_feed_cell(const ScenarioSpec& spec, MatrixCellResult* out) {
   out->viewport_p99_ms = -1;  // the feed has no viewport-load notion
   out->goodput_bytes_per_s =
       total_sim_ms > 0 ? total_bytes * 1000.0 / total_sim_ms : 0;
-  tally.finish(out);
+  out->shed_rate = tally.shed_rate();
+  out->cache_hit_ratio = tally.cache_hit_ratio();
   out->fingerprint = fp.h;
 }
 

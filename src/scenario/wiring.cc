@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "http/fetch_pipeline.h"
 #include "util/rng.h"
 #include "sim/frontdoor_load.h"
 #include "sim/session_world.h"
@@ -26,21 +25,34 @@ std::optional<BandwidthTrace> session_trace(const ScenarioSpec& spec,
                                    kTraceHorizonMs);
 }
 
+// The SessionConfig fields both runners take from the spec; `cfg->seed`
+// must already be set (variable-bandwidth traces fold it in).
+void apply_session(const ScenarioSpec& spec, const fault::FaultPlan* plan,
+                   SessionConfig* cfg) {
+  cfg->device = spec.device.profile;
+  cfg->fling_friction_scale = spec.device.fling_friction_scale;
+  cfg->enable_mfhttp = spec.workload.kind != WorkloadKind::kClientOnly;
+
+  cfg->client_bandwidth = spec.network.client_bandwidth;
+  cfg->client_latency_ms = spec.network.client_latency_ms;
+  cfg->server_bandwidth = spec.network.server_bandwidth;
+  cfg->server_latency_ms = spec.network.server_latency_ms;
+  cfg->client_bandwidth_trace = session_trace(spec, cfg->seed);
+
+  cfg->fault_plan = plan;
+  if (spec.cache.has_value()) {
+    cfg->enable_cache = true;
+    cfg->cache = spec.cache->cache;
+  }
+  if (spec.overload.has_value()) cfg->admission = spec.overload->admission;
+}
+
 }  // namespace
 
 BrowsingSessionConfig browsing_config(const ScenarioSpec& spec,
                                       const WebPage& page, int repeat,
                                       const fault::FaultPlan* plan) {
   BrowsingSessionConfig cfg;
-  cfg.device = spec.device.profile;
-  cfg.fling_friction_scale = spec.device.fling_friction_scale;
-  cfg.enable_mfhttp = spec.workload.kind != WorkloadKind::kClientOnly;
-
-  cfg.client_bandwidth = spec.network.client_bandwidth;
-  cfg.client_latency_ms = spec.network.client_latency_ms;
-  cfg.server_bandwidth = spec.network.server_bandwidth;
-  cfg.server_latency_ms = spec.network.server_latency_ms;
-
   // The historical fig6/fig7 session seed was
   //   1000 + site.size() + session * 7919
   // — written as 999 + spec.seed + ... so the paper-default spec (seed 1)
@@ -51,14 +63,9 @@ BrowsingSessionConfig browsing_config(const ScenarioSpec& spec,
                          spec.device.swipe_speed_step_px_s * repeat;
   cfg.fill_sample_ms = 0;  // matrix cells score analytically, not by timeline
 
-  cfg.client_bandwidth_trace = session_trace(spec, cfg.seed);
-  cfg.fault_plan = plan;
-  if (spec.cache.has_value()) {
-    cfg.enable_cache = true;
-    cfg.cache = spec.cache->cache;
+  apply_session(spec, plan, &cfg);
+  if (spec.cache.has_value())
     cfg.enable_prefetch = spec.cache->prefetch_enabled;
-  }
-  if (spec.overload.has_value()) cfg.admission = spec.overload->admission;
   return cfg;
 }
 
@@ -71,14 +78,6 @@ FeedSpec feed_spec(const ScenarioSpec& spec) {
 FeedSessionConfig feed_config(const ScenarioSpec& spec, int repeat,
                               const fault::FaultPlan* plan) {
   FeedSessionConfig cfg;
-  cfg.device = spec.device.profile;
-  cfg.fling_friction_scale = spec.device.fling_friction_scale;
-
-  cfg.client_bandwidth = spec.network.client_bandwidth;
-  cfg.client_latency_ms = spec.network.client_latency_ms;
-  cfg.server_bandwidth = spec.network.server_bandwidth;
-  cfg.server_latency_ms = spec.network.server_latency_ms;
-
   cfg.seed = spec.seed + static_cast<std::uint64_t>(repeat) * 7919;
   cfg.fling_count = spec.workload.feed_flings;
   // Flings ramp like the browsing swipes: each repeat a bit hotter.
@@ -96,41 +95,11 @@ FeedSessionConfig feed_config(const ScenarioSpec& spec, int repeat,
     cfg.append_posts_per_fling = spec.workload.append_posts_per_fling;
   }
 
-  cfg.client_bandwidth_trace = session_trace(spec, cfg.seed);
-  cfg.fault_plan = plan;
-  if (spec.cache.has_value()) {
-    cfg.enable_cache = true;
-    cfg.cache = spec.cache->cache;
-  }
-  if (spec.overload.has_value()) cfg.admission = spec.overload->admission;
+  apply_session(spec, plan, &cfg);
   return cfg;
 }
 
 }  // namespace mfhttp::scenario
-
-namespace mfhttp {
-
-FetchPipelineBuilder FetchPipelineBuilder::from_scenario(
-    Simulator& sim, HttpFetcher* origin, const scenario::ScenarioSpec& spec) {
-  FetchPipelineBuilder builder(sim, origin);
-
-  Link::Params client;
-  client.bandwidth =
-      spec.network.client_trace(spec.seed, /*horizon_ms=*/120'000);
-  client.latency_ms = spec.network.client_latency_ms;
-  builder.client_link(client);
-
-  // with_faults copies the plan, so the temporary's address is fine; no
-  // plan at all (not even an empty one) keeps the stack pristine.
-  if (std::optional<fault::FaultPlan> plan = spec.compiled_fault_plan())
-    builder.with_faults(&*plan);
-  if (spec.cache.has_value()) builder.with_cache(spec.cache->cache);
-  if (spec.overload.has_value())
-    builder.with_admission(spec.overload->admission);
-  return builder;
-}
-
-}  // namespace mfhttp
 
 namespace mfhttp::sim {
 

@@ -41,8 +41,11 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  // Normal with the given mean/stddev.
+  // Normal with the given mean/stddev. A stddev <= 0 is the degenerate
+  // distribution: it returns `mean` and draws nothing from the engine
+  // (std::normal_distribution requires stddev > 0).
   double normal(double mean, double stddev) {
+    if (stddev <= 0) return mean;
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

@@ -1,17 +1,11 @@
 #include "web/experiment.h"
 
-#include <memory>
 #include <optional>
 
-#include "core/middleware.h"
-#include "gesture/recognizer.h"
-#include "http/fetch_pipeline.h"
-#include "http/proxy.h"
-#include "http/sim_http.h"
-#include "sim/simulator.h"
+#include "gesture/synthetic.h"
 #include "util/check.h"
-#include "web/blocklist_controller.h"
 #include "util/json.h"
+#include "web/blocklist_controller.h"
 #include "web/browser.h"
 
 namespace mfhttp {
@@ -62,92 +56,36 @@ std::string BrowsingSessionResult::to_json() const {
 
 BrowsingSessionResult run_browsing_session(const WebPage& page,
                                            const BrowsingSessionConfig& config) {
-  Simulator sim;
   Rng rng(config.seed);
 
-  const BandwidthTrace client_trace =
-      config.client_bandwidth_trace.has_value()
-          ? *config.client_bandwidth_trace
-          : BandwidthTrace::constant(config.client_bandwidth);
-
-  Link::Params client_params;
-  client_params.bandwidth = client_trace;
-  client_params.latency_ms = config.client_latency_ms;
-  client_params.sharing = config.client_sharing;
-
-  Link::Params server_params;
-  server_params.bandwidth = BandwidthTrace::constant(config.server_bandwidth);
-  server_params.latency_ms = config.server_latency_ms;
-  server_params.sharing = Link::Sharing::kFairShare;
-  Link server_link(sim, server_params);
-
-  ObjectStore store = build_store(page);
-  SimHttpOrigin origin(sim, &store, &server_link);
-
-  // The whole decorator stack — client-hop faults, origin faults,
-  // resilience, proxy — assembles through the one canonical builder.
-  // Explicit config plan wins; the builder falls back to the ambient
-  // --fault-plan and treats an empty plan as none.
-  FetchPipelineBuilder builder(sim, &origin);
-  builder.client_link(client_params).with_faults(config.fault_plan);
-  MitmProxy::Params proxy_params;
-  if (builder.has_faults() && config.enable_resilience) {
-    builder.with_resilience(config.resilience);
-    proxy_params.defer_timeout_ms = config.defer_timeout_ms;
+  SimSession::Wiring wiring;
+  wiring.client_sharing = config.client_sharing;
+  wiring.ambient_fault_plan = true;
+  if (config.enable_resilience) {
+    wiring.resilience = config.resilience;
+    wiring.defer_timeout_ms = config.defer_timeout_ms;
   }
-  if (config.enable_cache) builder.with_cache(config.cache);
-  if (config.admission.has_value()) builder.with_admission(*config.admission);
-  builder.proxy_params(proxy_params);
-  std::unique_ptr<FetchPipeline> pipeline = builder.build();
-  MitmProxy& proxy = pipeline->proxy();
-  Link& client_link = pipeline->client_link();
-  ResilientFetcher* resilient = pipeline->resilient();
-
-  const Rect vp0{0, 0, config.device.screen_w_px, config.device.screen_h_px};
-
-  ScrollTracker::Params tracker_params;
-  tracker_params.scroll = ScrollConfig(config.device);
-  tracker_params.scroll.fling.friction *= config.fling_friction_scale;
-  tracker_params.content_bounds = page.bounds();
-
-  // Ground-truth viewport trajectory — identical scrolling physics whether
-  // or not the middleware is enabled, so both arms measure the same thing.
-  ScrollTracker gt_tracker(tracker_params);
-  ViewportState gt_viewport(vp0, page.bounds());
-  GestureRecognizer gt_recognizer(config.device);
+  SimSession world(config, build_store(page), page.bounds(), wiring);
+  Simulator& sim = world.sim();
+  const Rect vp0 = world.initial_viewport();
 
   // MF-HTTP stack (only in the treatment arm).
-  std::optional<Middleware> middleware;
   std::optional<BlockListController> controller;
-  std::optional<TouchEventMonitor> monitor;
   if (config.enable_mfhttp) {
-    Middleware::Params mp;
-    mp.tracker = tracker_params;
-    mp.flow.weights = config.weights;
-    // §5.1.2: bandwidth is rarely the web bottleneck — constraint released.
-    mp.flow.ignore_bandwidth_constraint = true;
-    mp.initial_viewport = vp0;
-    mp.gesture_uplink_ms = config.client_latency_ms;
-    middleware.emplace(mp, page.images, client_trace, &sim);
-    controller.emplace(page, vp0, &proxy);
+    controller.emplace(page, vp0, &world.proxy());
     if (config.enable_cache && config.enable_prefetch)
       controller->set_prefetch_enabled(true);
-    proxy.set_interceptor(&*controller);
-    middleware->set_policy_callback(
-        [&](const ScrollAnalysis& a, const DownloadPolicy& p) {
-          controller->on_policy(a, p);
-        });
-    monitor.emplace(config.device,
-                    [&](const Gesture& g) { middleware->on_gesture(g); });
+    world.attach_middleware(page.images, &*controller);
     // Breaker-open → stop gating: a policy that cannot reach the origin must
     // not keep requests parked.
-    if (resilient)
-      resilient->set_degraded_callback([&controller](const std::string&, bool open) {
-        if (controller) controller->set_degraded(open);
-      });
+    if (ResilientFetcher* resilient = world.pipeline().resilient())
+      resilient->set_degraded_callback(
+          [&controller](const std::string&, bool open) {
+            controller->set_degraded(open);
+          });
   }
 
-  Browser browser(sim, &proxy, page);
+  Browser browser(sim, &world.proxy(), page);
   sim.schedule_at(0, [&] { browser.load(); });
 
   // The session's one random scrolling touch.
@@ -160,52 +98,31 @@ BrowsingSessionResult run_browsing_session(const WebPage& page,
                                    : config.device.screen_h_px * 0.72};
   spec.direction = {rng.uniform(-0.05, 0.05), config.swipe_up ? 1.0 : -1.0};
   spec.contact_ms = 140;
-  const TouchTrace trace = synthesize_swipe(spec);
-  for (const TouchEvent& ev : trace) {
-    sim.schedule_at(ev.time_ms, [&, ev] {
-      if (monitor) monitor->on_touch_event(ev);
-      if (auto g = gt_recognizer.on_touch_event(ev)) {
-        gt_viewport.interrupt(g->down_time_ms);
-        gt_viewport.apply_contact_pan(*g);
-        if (g->scrolls())
-          gt_viewport.begin_animation(
-              gt_tracker.predict(*g, gt_viewport.at(g->up_time_ms)));
-      }
-    });
-  }
+  world.schedule_touches(synthesize_swipe(spec));
 
   BrowsingSessionResult result;
   if (config.fill_sample_ms > 0) {
     for (TimeMs t = 0; t <= config.session_ms; t += config.fill_sample_ms) {
       sim.schedule_at(t, [&, t] {
         result.fill_timeline.emplace_back(
-            t, browser.viewport_fill_fraction(gt_viewport.at(t)));
+            t, browser.viewport_fill_fraction(world.viewport().at(t)));
       });
     }
   }
 
-  sim.run_until(config.session_ms);
+  world.run();
 
   result.initial_viewport = vp0;
-  result.final_viewport = gt_viewport.at(config.session_ms);
+  result.final_viewport = world.viewport().at(config.session_ms);
   result.initial_viewport_load_ms = browser.viewport_load_time(vp0);
   result.final_viewport_load_ms = browser.viewport_load_time(result.final_viewport);
-  result.bytes_downloaded = client_link.bytes_delivered_total();
+  result.bytes_downloaded = world.bytes_delivered();
   result.total_image_bytes = page.total_image_bytes() + page.total_structure_bytes();
   result.images_total = page.images.size();
   result.images_completed = browser.images_completed();
   result.images_avoided = result.images_total - result.images_completed;
-  result.stranded_deferred = proxy.deferred_urls().size();
-  const MitmProxy::Stats& ps = proxy.stats();
-  result.requests_total = ps.allowed + ps.blocked + ps.deferred + ps.rejected +
-                          ps.shed + ps.header_violations + ps.cache_hits;
-  result.requests_rejected = ps.rejected;
-  result.requests_shed = ps.shed;
-  if (HttpCache* cache = pipeline->cache()) {
-    HttpCache::Stats cs = cache->stats();
-    result.cache_hits = cs.hits;
-    result.cache_misses = cs.misses;
-  }
+  result.stranded_deferred = world.proxy().deferred_urls().size();
+  world.tally_proxy(&result);
   return result;
 }
 

@@ -7,79 +7,45 @@
 #include <utility>
 #include <vector>
 
-#include "core/flow_controller.h"
-#include "fault/fault_plan.h"
-#include "gesture/synthetic.h"
-#include "http/cache.h"
 #include "http/resilient_fetcher.h"
 #include "net/link.h"
-#include "overload/admission.h"
-#include "scroll/device_profile.h"
 #include "web/page.h"
+#include "web/sim_session.h"
 
 namespace mfhttp {
 
-struct BrowsingSessionConfig {
-  DeviceProfile device = DeviceProfile::nexus6();
-  bool enable_mfhttp = true;
-
-  // Network: the paper's campus-WLAN setup — a fast middleware-origin hop
-  // and a (comparatively) constrained device hop that all responses share.
-  BytesPerSec client_bandwidth = 2.0e6;   // 2 MB/s WLAN share
-  TimeMs client_latency_ms = 8;
+// The session knobs shared with the feed live in SessionConfig
+// (web/sim_session.h), with this experiment's defaults. A null fault_plan
+// falls back to the ambient fault::global_plan() installed by --fault-plan;
+// no plan (or an empty one) leaves the whole stack — links, origin, proxy —
+// byte-for-byte identical to the pristine configuration, resilience layer
+// included.
+struct BrowsingSessionConfig : SessionConfig {
   // How concurrent responses share the device hop: kFairShare models N
   // parallel connections; kFifo realizes Eq. 13's "schedule the download in
   // the same order that the objects are requested".
   Link::Sharing client_sharing = Link::Sharing::kFairShare;
-  BytesPerSec server_bandwidth = 12.5e6;  // ~100 Mbps campus backbone
-  TimeMs server_latency_ms = 4;
-  // Variable client-hop bandwidth (scenario network profiles); when set it
-  // replaces the constant client_bandwidth trace on the link AND as the
-  // flow controller's B(t).
-  std::optional<BandwidthTrace> client_bandwidth_trace;
 
   // One scrolling touch per session, fired once the page has had a moment
   // to start rendering.
   TimeMs scroll_at_ms = 1200;
-  // Device-class fling calibration (scenario::DeviceClassSpec): multiplies
-  // FlingParams::friction for both the ground-truth tracker and the
-  // middleware's predictor. 1.0 = stock Android physics, byte-identical.
-  double fling_friction_scale = 1.0;
   double swipe_speed_px_s = 5000;   // finger speed (fling intensity)
   bool swipe_up = false;            // finger direction; false = scroll down
-  FlowWeights weights{1.0, 0.0};    // paper: q = 0 for web experiments
 
-  TimeMs session_ms = 60'000;
   // Sampling period of the Fig. 8 viewport-fill timeline; 0 disables.
   TimeMs fill_sample_ms = 50;
 
-  std::uint64_t seed = 1;
-
-  // Fault injection & resilience (DESIGN.md §9). nullptr falls back to the
-  // ambient fault::global_plan() installed by --fault-plan; no plan (or an
-  // empty one) leaves the whole stack — links, origin, proxy — byte-for-byte
-  // identical to the pristine configuration, resilience layer included.
-  const fault::FaultPlan* fault_plan = nullptr;
-  // With a plan active: retry/breaker layer between proxy and origin, plus
-  // the proxy's deferred-queue watchdog. Disable to measure what the faults
-  // do to an unprotected stack (the negative arm of the resilience bench).
+  // With a fault plan active: retry/breaker layer between proxy and origin,
+  // plus the proxy's deferred-queue watchdog. Disable to measure what the
+  // faults do to an unprotected stack (the negative arm of the resilience
+  // bench).
   bool enable_resilience = true;
   ResilientFetcherParams resilience = default_resilience();
   TimeMs defer_timeout_ms = 15'000;  // watchdog: force-release parked requests
 
-  // Middleware-server cache + corridor warm-up (ISSUE 4). Off by default:
-  // a single-session page load re-fetches nothing, so the pristine arms
-  // stay byte-identical; the cache arms exist for the cache benches and the
-  // repeat-visit / shared-proxy configurations.
-  bool enable_cache = false;
-  CacheParams cache;
-  // With a cache: warm corridor images the optimizer left parked (the
+  // With enable_cache: warm corridor images the optimizer left parked (the
   // BlockListController's prefetch hook). Ignored without enable_cache.
   bool enable_prefetch = false;
-
-  // Overload protection at the proxy (scenario "overload" section). Absent:
-  // no admission controller — byte-identical to the historical stack.
-  std::optional<overload::AdmissionParams> admission;
 
   static ResilientFetcherParams default_resilience() {
     ResilientFetcherParams p;
@@ -88,7 +54,7 @@ struct BrowsingSessionConfig {
   }
 };
 
-struct BrowsingSessionResult {
+struct BrowsingSessionResult : ProxyCounters {
   // Viewport load time (Fig. 7 metric): all structural resources plus every
   // image overlapping the *default* (initial) viewport are complete.
   TimeMs initial_viewport_load_ms = -1;
@@ -100,15 +66,6 @@ struct BrowsingSessionResult {
   std::size_t images_total = 0;
   std::size_t images_completed = 0;
   std::size_t images_avoided = 0;   // never transferred (parked or refused)
-
-  // Proxy-side accounting for the scenario matrix columns: every request
-  // the proxy saw, the subset bounced by admission (429/503) or shed by
-  // brownout, and the middleware-cache hit/miss split (0/0 without a cache).
-  std::size_t requests_total = 0;
-  std::size_t requests_rejected = 0;
-  std::size_t requests_shed = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
 
   // Requests still parked at the proxy when the session ended. In a pristine
   // run this is ordinary parked speculation (the mf-http savings). With a

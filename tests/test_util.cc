@@ -61,6 +61,23 @@ TEST(Rng, TruncatedNormalDegenerateRangeClamps) {
   EXPECT_LE(v, 1.0);
 }
 
+TEST(Rng, NormalWithZeroStddevIsTheMeanAndDrawsNothing) {
+  Rng rng(5), untouched(5);
+  EXPECT_EQ(rng.normal(3.25, 0.0), 3.25);
+  EXPECT_EQ(rng.normal(-1.0, -2.0), -1.0);
+  EXPECT_EQ(rng.truncated_normal(2.0, 0.0, 0.0, 10.0), 2.0);
+  // The degenerate draws left the engine where it was.
+  EXPECT_EQ(rng.uniform_int(0, 1'000'000), untouched.uniform_int(0, 1'000'000));
+}
+
+TEST(Rng, NormalWithPositiveStddevMatchesStdDistribution) {
+  Rng rng(9);
+  std::mt19937_64 engine(9);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(rng.normal(1.0, 0.5),
+              std::normal_distribution<double>(1.0, 0.5)(engine));
+}
+
 TEST(Rng, ChanceExtremes) {
   Rng rng(3);
   for (int i = 0; i < 100; ++i) {
