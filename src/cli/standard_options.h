@@ -49,7 +49,7 @@ class StandardOptions {
  public:
   // `extend` registers extra binary-specific flags on the same parser (and
   // shares its error formatting); unrecognized argv entries survive for
-  // downstream parsers such as benchmark::Initialize.
+  // downstream positional parsing.
   using ExtendFn = std::function<void(CliOptions&)>;
   StandardOptions(int& argc, char** argv, const ExtendFn& extend = {});
   ~StandardOptions();

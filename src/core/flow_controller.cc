@@ -174,14 +174,12 @@ DownloadPolicy FlowController::plan(const ScrollAnalysis& analysis,
     }
   }
 
-  Params::Solver solver =
-      params_.use_greedy ? Params::Solver::kGreedy : params_.solver;
   KnapsackSolution sol;
   {
     static obs::Histogram& solve_ms = obs::metrics().histogram(
         "core.flow.solve_ms", obs::latency_ms_bounds());
     obs::ScopedTimer timer(solve_ms);
-    switch (solver) {
+    switch (params_.solver) {
       case Params::Solver::kGreedy:
         sol = solve_prefix_knapsack_greedy(items);
         break;
@@ -312,14 +310,12 @@ DownloadPolicy FlowController::plan_arena(const ScrollAnalysis& analysis,
     }
   }
 
-  Params::Solver solver =
-      params_.use_greedy ? Params::Solver::kGreedy : params_.solver;
   KnapsackSolution sol;
   {
     static obs::Histogram& solve_ms = obs::metrics().histogram(
         "core.flow.solve_ms", obs::latency_ms_bounds());
     obs::ScopedTimer timer(solve_ms);
-    switch (solver) {
+    switch (params_.solver) {
       case Params::Solver::kGreedy:
         sol = solve_prefix_knapsack_greedy(items);
         break;

@@ -65,8 +65,6 @@ class FlowController {
     // branch-and-bound, or the greedy value-density heuristic (ablations).
     enum class Solver { kDp, kBranchAndBound, kGreedy };
     Solver solver = Solver::kDp;
-    // Back-compat alias for Solver::kGreedy.
-    bool use_greedy = false;
     // Drop Eq. 13 entirely — §5.1.2: "As bandwidth is rarely the bottleneck
     // for web browsing, we release the bandwidth constraint".
     bool ignore_bandwidth_constraint = false;

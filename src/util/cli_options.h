@@ -5,8 +5,7 @@
 // layer's StandardFlagsGuard. CliOptions replaces all of them: a binary
 // registers the flags it understands, parse() extracts exactly those from
 // argv (removing them), and everything unrecognized stays in place — which
-// is what lets the shared flags compose with benchmark::Initialize and
-// ad-hoc positional parsing alike.
+// is what lets the shared flags compose with ad-hoc positional parsing.
 //
 // Error formatting is shared too. A malformed command line ("--flag" with
 // no value) reports through parse(); a flag whose *value* later fails to

@@ -434,9 +434,20 @@ TEST(ChaosFrontDoor, CrashPlanAccountsForEveryEventAndFailsOver) {
   plan.frontdoor.push_back(crash);
 
   FrontDoorParams supervised = chaos_params(true);
-  supervised.fault_plan = plan;
   FrontDoorParams unsupervised = chaos_params(false);
-  unsupervised.fault_plan = plan;
+  // Every outcome below is decided by event counts, never by wall-clock
+  // timing: no freshness deadline (a serving worker serves every event it
+  // dequeues), no inferred wedging (only the crash's self-report marks
+  // shard 0 down), and no admission budget (every served request
+  // completes). Whenever the watchdog happens to sample the crash, the
+  // sessions that fail over only add completions on shard 1 — the same
+  // sessions would have been shed by the crashed shard 0.
+  for (FrontDoorParams* params : {&supervised, &unsupervised}) {
+    params->fault_plan = plan;
+    params->enqueue_deadline_ms = 0;
+    params->admission = overload::AdmissionParams{};
+    params->supervisor.wedged_after_ms = 60'000;
+  }
 
   const FrontDoorResult with =
       run_front_door(supervised, FrontDoorMode::kThreaded);
